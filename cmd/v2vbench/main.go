@@ -11,7 +11,7 @@
 //	v2vbench -fig cache        # cache sweep: off / GOP cold+warm / GOP+result cold+warm (ToS-sim)
 //	v2vbench -fig overload     # overload sweep: goodput, p99, shed rate at 1x/4x/16x offered load (KABR-sim)
 //	v2vbench -fig streaming    # streaming sweep: TTFF and inter-segment gap at 1/4/16 concurrent streams (KABR-sim Q7)
-//	v2vbench -fig pixels       # per-stage pixel pipeline: MB/s per filter, fused vs unfused 3-op chain, codec frames, allocs/frame
+//	v2vbench -fig pixels       # per-stage pixel pipeline: MB/s per filter (incl. blur, grid), fused vs unfused 3-op chain, codec frames (incl. ToS-sim decode), allocs/frame
 //	v2vbench -fig all -scale full -repeats 5
 //	v2vbench -fig 4 -json bench.json -trace bench-trace.json
 //	v2vbench -fig all -json BENCH_PR4.json -delta BENCH_PR3.json
@@ -330,7 +330,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Println(benchkit.FormatPixels("Pixels — per-stage pipeline throughput: point filters, fused vs unfused 3-op chain, codec encode/decode", rows))
+		fmt.Println(benchkit.FormatPixels("Pixels — per-stage pipeline throughput: point filters, blur and grid, fused vs unfused 3-op chain, codec encode/decode (synthetic and ToS-sim)", rows))
 		rep.addPixels(rows)
 	}
 	if needAblate {

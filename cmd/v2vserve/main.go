@@ -594,6 +594,11 @@ func (s *server) synthesize(w http.ResponseWriter, r *http.Request) {
 		opts.OnSegmentDone = func(int) { fs.Barrier() }
 	}
 	res, err := pr.SynthesizeStreamContext(ctx, dst, opts)
+	// A failure counts as canceled only if the request context had ended
+	// when the synthesis returned. Checked later, a client that hung up
+	// right after reading the error trailer drained below would turn a
+	// synthesis failure into a cancellation.
+	canceled := ctx.Err() != nil
 	if fs != nil {
 		// Drain the queue before the handler returns: the typed trailer a
 		// failed synthesis wrote via the sink must reach the client before
@@ -601,6 +606,7 @@ func (s *server) synthesize(w http.ResponseWriter, r *http.Request) {
 		// surfaces here if the synthesis itself didn't observe it.
 		if cerr := fs.CloseFlush(); cerr != nil && err == nil {
 			err = cerr
+			canceled = ctx.Err() != nil
 		}
 	}
 	req.SetTrace(tr)
@@ -611,7 +617,7 @@ func (s *server) synthesize(w http.ResponseWriter, r *http.Request) {
 		// failure from raw truncation. Either way the stream did not end
 		// with a clean EOS trailer — count it.
 		s.truncated.Inc()
-		if ctx.Err() != nil {
+		if canceled {
 			s.synthCanceled.Inc()
 			req.Finish("canceled", err)
 			s.logger.Warn("synthesis canceled",

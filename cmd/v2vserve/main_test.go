@@ -11,13 +11,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"v2v"
 	"v2v/internal/admit"
 	"v2v/internal/dataset"
-	"v2v/internal/faults"
 	"v2v/internal/frame"
 	"v2v/internal/media"
 	"v2v/internal/obs"
@@ -262,18 +262,27 @@ func TestClientDisconnectCancelsSynthesis(t *testing.T) {
 	if _, err := dataset.Generate(vid, "", dataset.TinyProfile(), rational.FromInt(3)); err != nil {
 		t.Fatal(err)
 	}
-	// A long render over a slowed source: every read sleeps, so the
-	// synthesis is still mid-flight when the client walks away.
+	// The first segment's renders wait for the request context to end,
+	// so the synthesis is still mid-flight, deterministically, when the
+	// client walks away; the second segment is left to run into the
+	// cancellation.
+	gate := setServeGate()
 	specText := fmt.Sprintf(`
 		timedomain range(0, 2, 1/24);
 		videos { cam: %q; }
-		render(t) = grade(cam[t], 5, 1.0, 1.0);`, vid)
-	inj := faults.New(faults.Config{Latency: 2 * time.Millisecond, LatencyProb: 1})
-	inj.Activate()
-	defer faults.Deactivate()
+		render(t) = match t {
+			t in range(0, 1, 1/24) => servetest_gate(cam[t]),
+			t in range(1, 2, 1/24) => grade(cam[t], 5, 1.0, 1.0),
+		};`, vid)
 
 	srv := newServer(dir, true, obs.NewRegistry())
-	ts := httptest.NewServer(srv.routes())
+	routes := srv.routes()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/synthesize" {
+			gate.requestDone(r.Context().Done())
+		}
+		routes.ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -281,14 +290,22 @@ func TestClientDisconnectCancelsSynthesis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	clientDone := make(chan struct{})
+	go func() {
+		defer close(clientDone)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	// Wait until a render is in flight, then hang up.
+	select {
+	case <-gate.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("synthesis never reached the gated render")
 	}
-	// Read a little of the stream to prove synthesis started, then hang up.
-	io.CopyN(io.Discard, resp.Body, 64)
 	cancel()
-	resp.Body.Close()
+	<-clientDone
 
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.synthCanceled.Value() == 0 {
@@ -301,6 +318,56 @@ func TestClientDisconnectCancelsSynthesis(t *testing.T) {
 	if n := srv.synthFail.Value(); n != 0 {
 		t.Errorf("client disconnect counted as failure (synthFail = %d)", n)
 	}
+}
+
+// serveGate holds servetest_gate renders until the current /synthesize
+// request's context ends. entered closes at the first gated render.
+type serveGate struct {
+	entered   chan struct{}
+	enterOnce sync.Once
+	done      chan (<-chan struct{})
+	reqDone   <-chan struct{} // set under enterOnce
+}
+
+func (g *serveGate) requestDone(done <-chan struct{}) { g.done <- done }
+
+var (
+	serveGateMu  sync.Mutex
+	serveGateCur *serveGate
+)
+
+// setServeGate installs a fresh gate for servetest_gate, registering the
+// transform on first use (go test -count=N reuses the process).
+func setServeGate() *serveGate {
+	g := &serveGate{entered: make(chan struct{}), done: make(chan (<-chan struct{}), 1)}
+	serveGateMu.Lock()
+	serveGateCur = g
+	serveGateMu.Unlock()
+	if _, ok := vql.Lookup("servetest_gate"); ok {
+		return g
+	}
+	vql.Register(&vql.Transform{
+		Name:   "servetest_gate",
+		Params: []vql.Type{vql.TypeFrame},
+		Result: vql.TypeFrame,
+		Eval: func(args []vql.Val) (vql.Val, error) {
+			serveGateMu.Lock()
+			g := serveGateCur
+			serveGateMu.Unlock()
+			g.enterOnce.Do(func() {
+				g.reqDone = <-g.done
+				close(g.entered)
+			})
+			select {
+			case <-g.reqDone:
+			case <-time.After(10 * time.Second):
+				// Never released: let the synthesis finish so the test
+				// reports the missing cancellation instead of hanging.
+			}
+			return args[0], nil
+		},
+	})
+	return g
 }
 
 func TestValidateServeFlags(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"v2v/internal/codec"
+	"v2v/internal/dataset"
 	"v2v/internal/frame"
 	"v2v/internal/raster"
 )
@@ -16,14 +17,17 @@ import (
 // frame-pool work: plane throughput (MB/s) for each fusable point op, a
 // 3-op chain measured unfused (one full pass and one fresh frame per op)
 // against fused (one pass into a pooled destination, byte-identical by
-// SHA), and the codec's per-frame encode/decode cost. Allocations per
-// frame are counted for every stage — the fused chain's ~0 is the
-// zero-allocation render loop's steady state in isolation.
+// SHA), the Gaussian blur and 2x2 grid that dominate ToS-sim renders,
+// and the codec's per-frame encode/decode cost, including decode of a
+// real ToS-sim long-GOP stream. Allocations per frame are counted for
+// every stage — the fused chain's ~0 is the zero-allocation render loop's
+// steady state in isolation.
 
 // PixelRow is one per-stage pixel-pipeline measurement.
 type PixelRow struct {
 	// Stage names the measured operation: "filter:grade",
-	// "chain3:unfused", "chain3:fused", "codec:encode", "codec:decode".
+	// "filter:blur", "filter:grid", "chain3:unfused", "chain3:fused",
+	// "codec:encode", "codec:decode", "codec:decode:tos".
 	Stage  string
 	Frames int
 	Wall   time.Duration
@@ -121,6 +125,8 @@ func PixelsRun(cfg Config) ([]PixelRow, error) {
 		{"filter:crossfade", func() { raster.Crossfade(src, other, 0.4) }},
 		{"filter:wipe", func() { raster.WipeLR(src, other, 0.6) }},
 		{"filter:overlay", func() { raster.Overlay(src, overlayImg, 8, 8, 160) }},
+		{"filter:blur", func() { raster.GaussianBlur(src, 1.5) }},
+		{"filter:grid", func() { raster.Grid2x2(src, other, src, other) }},
 	}
 	for _, s := range singles {
 		wall, allocs := measurePixels(n, func(int) { s.op() })
@@ -203,7 +209,47 @@ func PixelsRun(cfg Config) ([]PixelRow, error) {
 	})
 	rows = append(rows, pixelRow("codec:decode", len(pkts), frameBytes, dWall, dAllocs))
 
-	return rows, nil
+	tosRow, err := tosDecodeRow(n, pool)
+	if err != nil {
+		return nil, err
+	}
+	return append(rows, tosRow), nil
+}
+
+// tosDecodeRow measures pooled decoding of a ToS-sim stream: the dataset
+// profile's own frames, size and coding parameters, where one keyframe
+// opens a 240-frame GOP of P-frames — the decode that dominates
+// tos-render's source reads. The loop cycles through a 48-frame prefix
+// (the wrap decodes its keyframe again).
+func tosDecodeRow(n int, pool *frame.Pool) (PixelRow, error) {
+	p := dataset.ToSProfile()
+	cfg := codec.Config{Width: p.Width, Height: p.Height, Quality: p.Quality, GOP: p.GOPFrames(), Level: p.Level}
+	enc, err := codec.NewEncoder(cfg)
+	if err != nil {
+		return PixelRow{}, fmt.Errorf("benchkit: tos encoder: %w", err)
+	}
+	pkts := make([][]byte, 48)
+	for i := range pkts {
+		pkt, err := enc.Encode(p.RenderFrame(i))
+		if err != nil {
+			return PixelRow{}, fmt.Errorf("benchkit: tos encode: %w", err)
+		}
+		pkts[i] = pkt.Data
+	}
+	dec, err := codec.NewDecoder(cfg)
+	if err != nil {
+		return PixelRow{}, fmt.Errorf("benchkit: tos decoder: %w", err)
+	}
+	dec.SetFramePool(pool)
+	defer dec.Reset()
+	wall, allocs := measurePixels(n, func(i int) {
+		fr, err := dec.Decode(pkts[i%len(pkts)])
+		if err != nil {
+			panic(err)
+		}
+		fr.Release()
+	})
+	return pixelRow("codec:decode:tos", n, frame.FormatYUV420.Size(cfg.Width, cfg.Height), wall, allocs), nil
 }
 
 // FormatPixels renders the pixel-pipeline rows as an aligned text table.

@@ -24,6 +24,7 @@ package codec
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -304,8 +305,14 @@ type Decoder struct {
 	cfg   Config
 	prev  *frame.Frame
 	resid []byte
-	rec   *obs.Recorder
-	pool  *frame.Pool
+	// src and zr are the packet reader and the inflater, re-armed for
+	// every packet (flate.Resetter) so steady-state decoding does not
+	// allocate a fresh 32 KiB window per frame. The inflater's Reset
+	// discards all of its state, including a previous packet's error.
+	src  bytes.Reader
+	zr   io.ReadCloser
+	rec  *obs.Recorder
+	pool *frame.Pool
 }
 
 // ErrNeedKeyframe is returned when a P-frame arrives with no reference —
@@ -362,11 +369,15 @@ func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
 	if ftype == frameTypeP && d.prev == nil {
 		return nil, ErrNeedKeyframe
 	}
-	fr := flate.NewReader(bytes.NewReader(data[1:]))
-	if _, err := io.ReadFull(fr, d.resid); err != nil {
+	d.src.Reset(data[1:])
+	if d.zr == nil {
+		d.zr = flate.NewReader(&d.src)
+	} else if err := d.zr.(flate.Resetter).Reset(&d.src, nil); err != nil {
 		return nil, fmt.Errorf("%w: decompress: %w", ErrUndecodable, err)
 	}
-	fr.Close()
+	if _, err := io.ReadFull(d.zr, d.resid); err != nil {
+		return nil, fmt.Errorf("%w: decompress: %w", ErrUndecodable, err)
+	}
 
 	// Pooled frames carry stale pixels; both decode paths below write
 	// every byte of every plane, so no clearing is needed.
@@ -385,23 +396,10 @@ func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
 			decodeIntraPlane(d.resid[off:off+w*h], op[pi], w, h, q)
 			off += w * h
 		}
+	} else if q == 1 {
+		addBytes(out.Pix, d.prev.Pix, d.resid)
 	} else {
-		prev := d.prev.Pix
-		if q == 1 {
-			for i := range out.Pix {
-				out.Pix[i] = prev[i] + d.resid[i]
-			}
-		} else {
-			for i := range out.Pix {
-				r := int(prev[i]) + unzigzag(d.resid[i])*q
-				if r < 0 {
-					r = 0
-				} else if r > 255 {
-					r = 255
-				}
-				out.Pix[i] = byte(r)
-			}
-		}
+		reconstructQuantized(out.Pix, d.prev.Pix, d.resid, q)
 	}
 	// The decoder keeps its own reference for P-frame prediction; the
 	// caller's reference is theirs to Release. No-ops for unpooled frames.
@@ -414,32 +412,80 @@ func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
 	return out, nil
 }
 
+// decodeIntraPlane reconstructs one I-frame plane: each pixel is predicted
+// from its left neighbour, the first pixel of a row from the one above it,
+// and the first pixel of the plane from 128.
+//
 //v2v:hotpath
 func decodeIntraPlane(resid, out []byte, w, h, q int) {
+	resid, out = resid[:w*h], out[:w*h]
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			i := y*w + x
-			var pred int
-			switch {
-			case x > 0:
-				pred = int(out[i-1])
-			case y > 0:
-				pred = int(out[i-w])
-			default:
-				pred = 128
-			}
-			if q == 1 {
-				out[i] = byte(pred + int(resid[i]))
-			} else {
-				r := pred + unzigzag(resid[i])*q
-				if r < 0 {
-					r = 0
-				} else if r > 255 {
-					r = 255
-				}
-				out[i] = byte(r)
-			}
+		row, rrow := out[y*w:(y+1)*w], resid[y*w:(y+1)*w]
+		pred := 128
+		if y > 0 {
+			pred = int(out[(y-1)*w])
 		}
+		if q == 1 {
+			for x, r := range rrow {
+				v := byte(pred + int(r))
+				row[x] = v
+				pred = int(v)
+			}
+			continue
+		}
+		for x, r := range rrow {
+			v := pred + unzigzag(r)*q
+			if v < 0 {
+				v = 0
+			} else if v > 255 {
+				v = 255
+			}
+			row[x] = byte(v)
+			pred = v
+		}
+	}
+}
+
+// swarHigh has the top bit of every byte lane of a uint64 set.
+const swarHigh = 0x8080808080808080
+
+// addBytes sets dst[i] = a[i] + b[i] mod 256, the lossless P-frame
+// reconstruct. It adds eight byte lanes per uint64: the low seven bits of
+// each lane are summed with the top bits cleared, so no carry crosses a
+// lane, and the top bits are then restored by XOR, which is their sum
+// mod 2. ((x&^H)+(y&^H)) ^ ((x^y)&H) is therefore the lane-wise sum mod
+// 256. a and b must be at least len(dst) long.
+//
+//v2v:hotpath
+func addBytes(dst, a, b []byte) {
+	n := len(dst)
+	a, b = a[:n], b[:n]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		x := binary.LittleEndian.Uint64(a[i : i+8])
+		y := binary.LittleEndian.Uint64(b[i : i+8])
+		binary.LittleEndian.PutUint64(dst[i:i+8], ((x&^swarHigh)+(y&^swarHigh))^((x^y)&swarHigh))
+	}
+	for ; i < n; i++ {
+		dst[i] = a[i] + b[i]
+	}
+}
+
+// reconstructQuantized is the lossy (q > 1) P-frame reconstruct: prev plus
+// the dequantized residual, clamped to [0, 255]. prev and resid must be
+// at least len(dst) long.
+//
+//v2v:hotpath
+func reconstructQuantized(dst, prev, resid []byte, q int) {
+	prev, resid = prev[:len(dst)], resid[:len(dst)]
+	for i, p := range prev {
+		r := int(p) + unzigzag(resid[i])*q
+		if r < 0 {
+			r = 0
+		} else if r > 255 {
+			r = 255
+		}
+		dst[i] = byte(r)
 	}
 }
 

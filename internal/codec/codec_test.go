@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -483,5 +484,138 @@ func TestEncodeRecycleSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, encodeOne); allocs > 0 {
 		t.Errorf("steady-state Encode+Recycle allocates %.1f per packet, want 0", allocs)
+	}
+}
+
+func TestAddBytesMatchesScalar(t *testing.T) {
+	// Every length from empty through two full words plus a tail, with
+	// lanes chosen to overflow (carry out of bit 7) and not.
+	rnd := rand.New(rand.NewSource(17))
+	for n := 0; n <= 17; n++ {
+		for trial := 0; trial < 50; trial++ {
+			a, b := make([]byte, n), make([]byte, n)
+			rnd.Read(a)
+			rnd.Read(b)
+			if trial == 0 {
+				for i := range a {
+					a[i], b[i] = 0xFF, 0x01
+				}
+			}
+			got := make([]byte, n)
+			addBytes(got, a, b)
+			for i := range got {
+				if want := a[i] + b[i]; got[i] != want {
+					t.Fatalf("len %d byte %d: %#x + %#x = %#x, want %#x", n, i, a[i], b[i], got[i], want)
+				}
+			}
+		}
+	}
+}
+
+func TestDecodeMatchesEncoderReconstruction(t *testing.T) {
+	// The encoder's reconstruction is the coding scheme's definition of
+	// each decoded frame (its arithmetic is unchanged by decoder
+	// optimizations); the decoder must reproduce it byte for byte on the
+	// intra and predicted paths, lossless and lossy.
+	for _, q := range []int{1, 2, 5, 17} {
+		cfg := Config{Width: 34, Height: 22, Quality: q, GOP: 4, Level: 4}
+		frames := genFrames(cfg, 10, int64(q))
+		rnd := rand.New(rand.NewSource(int64(q)))
+		for _, fr := range frames[5:] {
+			rnd.Read(fr.Pix) // large residuals exercise the lossy clamps
+		}
+		enc, err := NewEncoder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := NewDecoder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, fr := range frames {
+			pkt, err := enc.Encode(fr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := dec.Decode(pkt.Data)
+			if err != nil {
+				t.Fatalf("q=%d frame %d: %v", q, i, err)
+			}
+			if !got.Equal(enc.prev) {
+				t.Fatalf("q=%d frame %d (key=%v): decode differs from encoder reconstruction", q, i, pkt.Key)
+			}
+		}
+	}
+}
+
+func TestDecodeRecoversAfterMidStreamError(t *testing.T) {
+	// A damaged packet mid-GOP must leave no inflater state behind: the
+	// next keyframe decodes exactly as on a fresh decoder, and the GOP
+	// after it decodes losslessly.
+	cfg := testConfig()
+	frames := genFrames(cfg, 10, 31)
+	pkts := encodeAll(t, cfg, frames)
+	dec, err := NewDecoder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := dec.Decode(pkts[i].Data); err != nil {
+			t.Fatalf("decode %d: %v", i, err)
+		}
+	}
+	damaged := [][]byte{
+		pkts[3].Data[:len(pkts[3].Data)/2],                 // truncated DEFLATE stream
+		append([]byte{frameTypeP}, 0xFF, 0xFF, 0xFF, 0xFF), // invalid block type
+		{frameTypeP},
+	}
+	if !pkts[5].Key {
+		t.Fatal("fixture: packet 5 should be a keyframe")
+	}
+	for _, bad := range damaged {
+		if _, err := dec.Decode(bad); !errors.Is(err, ErrUndecodable) {
+			t.Fatalf("damaged packet: err = %v, want ErrUndecodable", err)
+		}
+		for i := 5; i < len(pkts); i++ {
+			got, err := dec.Decode(pkts[i].Data)
+			if err != nil {
+				t.Fatalf("decode %d after error: %v", i, err)
+			}
+			if !got.Equal(frames[i]) {
+				t.Fatalf("frame %d after error differs from the source", i)
+			}
+		}
+	}
+}
+
+func TestPooledPredictedDecodeAllocs(t *testing.T) {
+	// Steady-state pooled P-frame decoding reuses the inflater, its
+	// window and the frame buffers: at most one allocation per frame
+	// remains. (Streams whose Huffman codes exceed 9 bits add
+	// compress/flate's per-block link tables on top; this content's
+	// do not.)
+	cfg := Config{Width: 96, Height: 64, Quality: 1, GOP: 240, Level: 2}
+	const runs = 50
+	frames := genFramesB(cfg, runs+4)
+	pkts := encodeAll(t, cfg, frames)
+	dec, err := NewDecoder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec.SetFramePool(frame.NewPool())
+	defer dec.Reset()
+	i := 0
+	decodeOne := func() {
+		fr, err := dec.Decode(pkts[i].Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr.Release()
+		i++
+	}
+	decodeOne() // keyframe
+	decodeOne() // first P-frame: fills the pool
+	if allocs := testing.AllocsPerRun(runs, decodeOne); allocs > 1 {
+		t.Errorf("steady-state pooled P-frame Decode allocates %.2f per frame, want <= 1", allocs)
 	}
 }

@@ -201,10 +201,20 @@ func TestCursorsReuseUnderInterleavedTaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 taps each covering 48 frames; allow slack for initial keyframe
-	// roll-forward on the 3 unaligned taps.
-	if m.Source.FramesDecoded > 4*48+3*24 {
-		t.Errorf("interleaved taps decoded %d frames; cursor pooling broken", m.Source.FramesDecoded)
+	// The optimizer shards the segment by GOMAXPROCS, and without a GOP
+	// cache every shard opens its own cursors, each rolling forward from
+	// its own source keyframe. Each of the 4 taps therefore decodes its
+	// shard's frames plus at most one source GOP of roll-forward per
+	// shard. Funnelling the taps through one decoder instead re-decodes
+	// from a keyframe on every read, several times this bound.
+	const taps, frames, gop = 4, 48, 24
+	if len(m.Segments) != 1 {
+		t.Fatalf("segments = %d, want 1", len(m.Segments))
+	}
+	shards := m.Segments[0].Shards
+	if bound := int64(taps * (frames + shards*gop)); m.Source.FramesDecoded > bound {
+		t.Errorf("interleaved taps decoded %d frames over %d shard(s), bound %d; cursor pooling broken",
+			m.Source.FramesDecoded, shards, bound)
 	}
 }
 

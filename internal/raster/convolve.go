@@ -3,6 +3,8 @@ package raster
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"v2v/internal/frame"
 )
@@ -17,13 +19,51 @@ func GaussianBlur(src *frame.Frame, sigma float64) *frame.Frame {
 	if sigma <= 0 {
 		return src.Clone()
 	}
-	kernel := gaussianKernel(sigma)
+	kernel := cachedKernel(sigma)
 	dst := frame.New(src.W, src.H, frame.FormatYUV420)
+	// One scratch buffer sized for luma serves all three planes.
+	need := src.W*src.H + src.W
+	sc, _ := blurScratch.Get().(*[]int32)
+	if sc == nil || cap(*sc) < need {
+		buf := make([]int32, need)
+		sc = &buf
+	}
+	tmp := (*sc)[:need]
 	sp, dp := src.Planes(), dst.Planes()
-	blurPlane(sp[0], dp[0], src.W, src.H, kernel)
-	blurPlane(sp[1], dp[1], src.W/2, src.H/2, kernel)
-	blurPlane(sp[2], dp[2], src.W/2, src.H/2, kernel)
+	blurPlane(sp[0], dp[0], src.W, src.H, kernel, tmp)
+	blurPlane(sp[1], dp[1], src.W/2, src.H/2, kernel, tmp)
+	blurPlane(sp[2], dp[2], src.W/2, src.H/2, kernel, tmp)
+	blurScratch.Put(sc)
 	return dst
+}
+
+// blurScratch recycles blurPlane's int32 scratch across calls and
+// goroutines, so a steady render loop allocates none per plane.
+var blurScratch sync.Pool
+
+// kernelCacheMax bounds the kernel cache: a spec whose sigma varies per
+// frame would otherwise grow it without limit. Past the bound kernels are
+// built per call, as they were before caching.
+const kernelCacheMax = 64
+
+var (
+	kernelCache   sync.Map // float64 sigma -> []int32, read-only once stored
+	kernelEntries atomic.Int32
+)
+
+// cachedKernel returns gaussianKernel(sigma), building each distinct sigma
+// at most once while the cache has room. Callers must not modify it.
+func cachedKernel(sigma float64) []int32 {
+	if k, ok := kernelCache.Load(sigma); ok {
+		return k.([]int32)
+	}
+	k := gaussianKernel(sigma)
+	if kernelEntries.Load() < kernelCacheMax {
+		if _, loaded := kernelCache.LoadOrStore(sigma, k); !loaded {
+			kernelEntries.Add(1)
+		}
+	}
+	return k
 }
 
 // gaussianKernel builds a normalized integer kernel (scaled by 1<<kShift)
@@ -56,48 +96,120 @@ func gaussianKernel(sigma float64) []int32 {
 	return k
 }
 
-func blurPlane(src, dst []byte, w, h int, kernel []int32) {
-	radius := len(kernel) / 2
-	tmp := make([]int32, w*h)
-	// Horizontal pass with edge clamping.
+// blurPlane blurs one w×h plane from src into dst with edge clamping: a
+// horizontal pass into tmp, then a vertical pass into dst. tmp must hold
+// at least w*h+w values; its contents are scratch. kernel must be
+// symmetric about its centre, as gaussianKernel's are, so the passes add
+// each mirrored pair of pixels before one multiply by their shared tap.
+//
+// Every tap product and sum is an exact int32 (taps are non-negative and
+// sum to 1<<kShift, pixels are at most 255), so this loop order is free
+// to differ from a per-pixel gather: the results are byte-identical.
+//
+//v2v:hotpath
+func blurPlane(src, dst []byte, w, h int, kernel, tmp []int32) {
+	rows, acc := tmp[:w*h], tmp[w*h:w*h+w]
 	for y := 0; y < h; y++ {
-		row := src[y*w : (y+1)*w]
-		for x := 0; x < w; x++ {
-			var acc int32
-			for k := -radius; k <= radius; k++ {
-				sx := x + k
-				if sx < 0 {
-					sx = 0
-				} else if sx >= w {
-					sx = w - 1
-				}
-				acc += int32(row[sx]) * kernel[k+radius]
-			}
-			tmp[y*w+x] = acc >> kShift
-		}
+		blurRowH(src[y*w:(y+1)*w], rows[y*w:(y+1)*w], kernel)
 	}
-	// Vertical pass.
+	radius := len(kernel) / 2
+	center := kernel[radius]
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var acc int32
-			for k := -radius; k <= radius; k++ {
-				sy := y + k
-				if sy < 0 {
-					sy = 0
-				} else if sy >= h {
-					sy = h - 1
-				}
-				acc += tmp[sy*w+x] * kernel[k+radius]
+		// Row-wise vertical accumulate: whole rows of the horizontal
+		// result are scaled and summed into acc, with the clamp applied
+		// once per source row rather than once per pixel.
+		mid := rows[y*w : (y+1)*w]
+		mid = mid[:len(acc)]
+		for x := range acc {
+			acc[x] = mid[x] * center
+		}
+		for j := 1; j <= radius; j++ {
+			up, down := y-j, y+j
+			if up < 0 {
+				up = 0
 			}
-			v := acc >> kShift
+			if down >= h {
+				down = h - 1
+			}
+			a, b := rows[up*w:(up+1)*w], rows[down*w:(down+1)*w]
+			a, b = a[:len(acc)], b[:len(acc)]
+			kk := kernel[radius+j]
+			for x := range acc {
+				acc[x] += (a[x] + b[x]) * kk
+			}
+		}
+		drow := dst[y*w : (y+1)*w]
+		drow = drow[:len(acc)]
+		for x, a := range acc {
+			v := a >> kShift
 			if v < 0 {
 				v = 0
 			} else if v > 255 {
 				v = 255
 			}
-			dst[y*w+x] = byte(v)
+			drow[x] = byte(v)
 		}
 	}
+}
+
+// blurRowH is the horizontal pass over one row: out[x] is the kernel
+// applied around row[x], shifted down by kShift. Pixels within radius of
+// either end clamp their taps to the row; the interior, where no tap
+// leaves the row, runs one tap pair at a time across all its pixels.
+//
+//v2v:hotpath
+func blurRowH(row []byte, out, kernel []int32) {
+	w := len(row)
+	out = out[:w]
+	radius := len(kernel) / 2
+	lo, hi := radius, w-radius
+	if hi < lo {
+		lo, hi = w, w // no interior: the left edge loop covers the row
+	}
+	for x := 0; x < lo; x++ {
+		out[x] = blurClamped(row, x, kernel)
+	}
+	if lo < hi {
+		in := out[lo:hi]
+		mid := row[lo:hi]
+		mid = mid[:len(in)]
+		center := kernel[radius]
+		for x := range in {
+			in[x] = int32(mid[x]) * center
+		}
+		for j := 1; j <= radius; j++ {
+			a, b := row[lo-j:hi-j], row[lo+j:hi+j]
+			a, b = a[:len(in)], b[:len(in)]
+			kk := kernel[radius+j]
+			for x := range in {
+				in[x] += (int32(a[x]) + int32(b[x])) * kk
+			}
+		}
+		for x, a := range in {
+			in[x] = a >> kShift
+		}
+	}
+	for x := hi; x < w; x++ {
+		out[x] = blurClamped(row, x, kernel)
+	}
+}
+
+// blurClamped is one horizontal output pixel with its taps clamped to the
+// row.
+func blurClamped(row []byte, x int, kernel []int32) int32 {
+	radius := len(kernel) / 2
+	w := len(row)
+	var acc int32
+	for k, kk := range kernel {
+		sx := x + k - radius
+		if sx < 0 {
+			sx = 0
+		} else if sx >= w {
+			sx = w - 1
+		}
+		acc += int32(row[sx]) * kk
+	}
+	return acc >> kShift
 }
 
 // Convolve3x3 applies a 3x3 kernel (with divisor and bias) to the luma
