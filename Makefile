@@ -5,6 +5,9 @@
 # `make alloccheck` runs the compiler-driven hot-path escape check
 # (`v2vlint -escapes`): every //v2v:hotpath function must be free of
 # unsuppressed heap escapes (docs/STATIC_ANALYSIS.md).
+# `make test-matrix` reruns the tests at GOMAXPROCS 1 and 4 in shuffled
+# order, so neither the host's CPU count nor test order can hide a
+# failure.
 # `make fuzz` runs the native fuzz targets for FUZZTIME each (the checked-in
 # corpora under testdata/fuzz always run as part of plain `go test`).
 # `make bench` regenerates every paper figure plus the cache, overload,
@@ -25,7 +28,7 @@ BENCH_DELTA_MD ?= bench-delta.md
 BENCH_PARALLEL ?= 4
 FUZZTIME ?= 10s
 
-.PHONY: all build test tier1 vet race lint alloccheck fuzz check bench microbench chaos
+.PHONY: all build test tier1 test-matrix vet race lint alloccheck fuzz check bench microbench chaos
 
 all: tier1
 
@@ -36,6 +39,9 @@ test:
 	$(GO) test ./...
 
 tier1: build test
+
+test-matrix:
+	$(GO) test -count=1 -cpu 1,4 -shuffle=on ./...
 
 vet:
 	$(GO) vet ./...
@@ -53,6 +59,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/vql/
 	$(GO) test -run='^$$' -fuzz=FuzzNewReader -fuzztime=$(FUZZTIME) ./internal/container/
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/codec/
+	$(GO) test -run='^$$' -fuzz=FuzzInflate -fuzztime=$(FUZZTIME) ./internal/codec/
 
 check: tier1 vet race lint alloccheck
 

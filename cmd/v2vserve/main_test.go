@@ -466,6 +466,28 @@ type flightResponse struct {
 	} `json:"requests"`
 }
 
+// waitRequestsDone polls the flight recorder until n requests have
+// finished, that is, their handlers have made every metric update.
+func waitRequestsDone(t *testing.T, ts *httptest.Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		done := 0
+		for _, r := range getFlight(t, ts.URL+"/debug/requests").Requests {
+			if !r.Active {
+				done++
+			}
+		}
+		if done >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests finished after 5s", done, n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func getFlight(t *testing.T, url string) flightResponse {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -1048,6 +1070,10 @@ func TestStreamAcceptHeaderOptsIn(t *testing.T) {
 	if got := len(readStream(t, resp.Body)); got != 48 {
 		t.Fatalf("frames = %d, want 48", got)
 	}
+	// The handler observes TTFF after the end-of-stream trailer has
+	// drained, so the client can finish reading first. The request's
+	// flight record completes after the observation.
+	waitRequestsDone(t, ts, 1)
 	if got := metricValue(t, ts, "v2v_stream_ttff_seconds_count"); got != 1 {
 		t.Errorf("ttff histogram count = %g, want 1", got)
 	}
@@ -1107,13 +1133,19 @@ func TestStreamFailureWritesTypedTrailer(t *testing.T) {
 
 // TestStreamSlowClientDoesNotBlockOthers drains a streaming response a
 // few hundred bytes at a time with a pause between reads, while a second
-// buffered request runs concurrently. The slow client's backpressure must
-// stall only its own request: the concurrent request finishes first, and
-// the slow stream still arrives complete. The streaming request's TTFF is
-// also far below its wall time — the client got first bytes while the
-// rest was still being squeezed through the tiny queue.
+// buffered request runs concurrently. The slow request must stall only
+// itself: the concurrent request runs start to finish while the slow one
+// is held mid-synthesis, and the slow stream still arrives complete. The
+// streaming request's TTFF is also far below its wall time — the client
+// got first bytes while the rest was still being produced.
 func TestStreamSlowClientDoesNotBlockOthers(t *testing.T) {
 	srv, ts, specText := streamingServer(t, 4<<10)
+	// The slow stream's second segment renders through servetest_hold, so
+	// its synthesis is still in flight until the test releases it: the
+	// concurrent request below runs entirely while the slow one is mid-way.
+	release := setServeHold()
+	defer release()
+	heldSpec := strings.Replace(specText, "grade(cam[t], 5, 1.0, 1.0)", "servetest_hold(cam[t])", 1)
 
 	type done struct {
 		frames int
@@ -1121,8 +1153,10 @@ func TestStreamSlowClientDoesNotBlockOthers(t *testing.T) {
 		err    error
 	}
 	slowCh := make(chan done, 1)
+	sent := time.Now()
+	firstBytes := make(chan time.Duration, 1) // client-side time to first bytes
 	go func() {
-		resp, err := http.Post(ts.URL+"/synthesize?stream=1", "text/plain", strings.NewReader(specText))
+		resp, err := http.Post(ts.URL+"/synthesize?stream=1", "text/plain", strings.NewReader(heldSpec))
 		if err != nil {
 			slowCh <- done{err: err}
 			return
@@ -1132,6 +1166,9 @@ func TestStreamSlowClientDoesNotBlockOthers(t *testing.T) {
 		buf := make([]byte, 512)
 		for {
 			n, rerr := resp.Body.Read(buf)
+			if len(whole) == 0 && n > 0 {
+				firstBytes <- time.Since(sent)
+			}
 			whole = append(whole, buf[:n]...)
 			if rerr != nil {
 				break
@@ -1157,9 +1194,18 @@ func TestStreamSlowClientDoesNotBlockOthers(t *testing.T) {
 		slowCh <- done{frames: frames, at: time.Now()}
 	}()
 
-	// Give the slow stream a head start, then run a buffered request.
-	time.Sleep(20 * time.Millisecond)
-	resp, err := http.Post(ts.URL+"/synthesize", "text/plain", strings.NewReader(specText))
+	var clientTTFF time.Duration
+	select {
+	case clientTTFF = <-firstBytes:
+	case slow := <-slowCh:
+		t.Fatalf("slow stream ended before its first bytes: %v", slow.err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("slow stream sent no bytes")
+	}
+	// A slow client that pinned the server would hang this request; the
+	// client timeout turns that into a failure.
+	fast := &http.Client{Timeout: 10 * time.Second}
+	resp, err := fast.Post(ts.URL+"/synthesize", "text/plain", strings.NewReader(specText))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1168,6 +1214,14 @@ func TestStreamSlowClientDoesNotBlockOthers(t *testing.T) {
 	}
 	resp.Body.Close()
 	fastDone := time.Now()
+	// The server's TTFF is below clientTTFF (it started after the send
+	// and flushed before the client read), and the slow request's wall
+	// runs past the release: releasing no earlier than 2*clientTTFF
+	// after the send keeps its TTFF under half its wall.
+	if wait := 2*clientTTFF - time.Since(sent); wait > 0 {
+		time.Sleep(wait)
+	}
+	release()
 
 	slow := <-slowCh
 	if slow.err != nil {
@@ -1206,4 +1260,40 @@ func registerServePanicUDF() {
 			panic("boom")
 		},
 	})
+}
+
+var (
+	serveHoldMu  sync.Mutex
+	serveHoldCur chan struct{}
+)
+
+// setServeHold installs a fresh release channel for servetest_hold, a
+// transform that holds every render until the returned release func is
+// called, registering the transform on first use (go test -count=N
+// reuses the process).
+func setServeHold() (release func()) {
+	ch := make(chan struct{})
+	serveHoldMu.Lock()
+	serveHoldCur = ch
+	serveHoldMu.Unlock()
+	if _, ok := vql.Lookup("servetest_hold"); !ok {
+		vql.Register(&vql.Transform{
+			Name:   "servetest_hold",
+			Params: []vql.Type{vql.TypeFrame},
+			Result: vql.TypeFrame,
+			Eval: func(args []vql.Val) (vql.Val, error) {
+				serveHoldMu.Lock()
+				ch := serveHoldCur
+				serveHoldMu.Unlock()
+				select {
+				case <-ch:
+				case <-time.After(10 * time.Second):
+					// Never released: finish so the test reports it.
+				}
+				return args[0], nil
+			},
+		})
+	}
+	var once sync.Once
+	return func() { once.Do(func() { close(ch) }) }
 }

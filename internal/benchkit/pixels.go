@@ -27,7 +27,7 @@ import (
 type PixelRow struct {
 	// Stage names the measured operation: "filter:grade",
 	// "filter:blur", "filter:grid", "chain3:unfused", "chain3:fused",
-	// "codec:encode", "codec:decode", "codec:decode:tos".
+	// "codec:encode", "codec:decode", "codec:decode:tos", "codec:skip:tos".
 	Stage  string
 	Frames int
 	Wall   time.Duration
@@ -199,7 +199,6 @@ func PixelsRun(cfg Config) ([]PixelRow, error) {
 		return nil, fmt.Errorf("benchkit: pixels decoder: %w", err)
 	}
 	dec.SetFramePool(pool)
-	defer dec.Reset()
 	dWall, dAllocs := measurePixels(len(pkts), func(i int) {
 		fr, err := dec.Decode(pkts[i%len(pkts)])
 		if err != nil {
@@ -209,47 +208,57 @@ func PixelsRun(cfg Config) ([]PixelRow, error) {
 	})
 	rows = append(rows, pixelRow("codec:decode", len(pkts), frameBytes, dWall, dAllocs))
 
-	tosRow, err := tosDecodeRow(n, pool)
+	tosRows, err := tosDecodeRows(n, pool)
 	if err != nil {
 		return nil, err
 	}
-	return append(rows, tosRow), nil
+	return append(rows, tosRows...), nil
 }
 
-// tosDecodeRow measures pooled decoding of a ToS-sim stream: the dataset
+// tosDecodeRows measures decoding of a ToS-sim stream: the dataset
 // profile's own frames, size and coding parameters, where one keyframe
 // opens a 240-frame GOP of P-frames — the decode that dominates
-// tos-render's source reads. The loop cycles through a 48-frame prefix
+// tos-render's source reads. codec:decode:tos is a pooled Decode, the
+// read of a target frame; codec:skip:tos is a Skip, the roll-forward
+// through frames no one reads. Each loop cycles through a 48-frame prefix
 // (the wrap decodes its keyframe again).
-func tosDecodeRow(n int, pool *frame.Pool) (PixelRow, error) {
+func tosDecodeRows(n int, pool *frame.Pool) ([]PixelRow, error) {
 	p := dataset.ToSProfile()
 	cfg := codec.Config{Width: p.Width, Height: p.Height, Quality: p.Quality, GOP: p.GOPFrames(), Level: p.Level}
 	enc, err := codec.NewEncoder(cfg)
 	if err != nil {
-		return PixelRow{}, fmt.Errorf("benchkit: tos encoder: %w", err)
+		return nil, fmt.Errorf("benchkit: tos encoder: %w", err)
 	}
 	pkts := make([][]byte, 48)
 	for i := range pkts {
 		pkt, err := enc.Encode(p.RenderFrame(i))
 		if err != nil {
-			return PixelRow{}, fmt.Errorf("benchkit: tos encode: %w", err)
+			return nil, fmt.Errorf("benchkit: tos encode: %w", err)
 		}
 		pkts[i] = pkt.Data
 	}
 	dec, err := codec.NewDecoder(cfg)
 	if err != nil {
-		return PixelRow{}, fmt.Errorf("benchkit: tos decoder: %w", err)
+		return nil, fmt.Errorf("benchkit: tos decoder: %w", err)
 	}
 	dec.SetFramePool(pool)
-	defer dec.Reset()
-	wall, allocs := measurePixels(n, func(i int) {
+	size := frame.FormatYUV420.Size(cfg.Width, cfg.Height)
+	dWall, dAllocs := measurePixels(n, func(i int) {
 		fr, err := dec.Decode(pkts[i%len(pkts)])
 		if err != nil {
 			panic(err)
 		}
 		fr.Release()
 	})
-	return pixelRow("codec:decode:tos", n, frame.FormatYUV420.Size(cfg.Width, cfg.Height), wall, allocs), nil
+	sWall, sAllocs := measurePixels(n, func(i int) {
+		if err := dec.Skip(pkts[i%len(pkts)]); err != nil {
+			panic(err)
+		}
+	})
+	return []PixelRow{
+		pixelRow("codec:decode:tos", n, size, dWall, dAllocs),
+		pixelRow("codec:skip:tos", n, size, sWall, sAllocs),
+	}, nil
 }
 
 // FormatPixels renders the pixel-pipeline rows as an aligned text table.

@@ -301,18 +301,20 @@ func unzigzag(b byte) int {
 // Decoder decodes packets back into frames. Decoding must start at a
 // keyframe; feeding a P-packet first returns ErrNeedKeyframe. Not safe for
 // concurrent use.
+//
+// The decoder reconstructs every packet into its own reference frame,
+// which it never shares: Skip advances that reference in place, and
+// Decode advances it and returns a copy. Rolling forward from a keyframe
+// to a target therefore costs one inflate and one in-place reconstruct per
+// skipped packet, with no frame allocated, cleared or dropped.
 type Decoder struct {
-	cfg   Config
-	prev  *frame.Frame
-	resid []byte
-	// src and zr are the packet reader and the inflater, re-armed for
-	// every packet (flate.Resetter) so steady-state decoding does not
-	// allocate a fresh 32 KiB window per frame. The inflater's Reset
-	// discards all of its state, including a previous packet's error.
-	src  bytes.Reader
-	zr   io.ReadCloser
-	rec  *obs.Recorder
-	pool *frame.Pool
+	cfg    Config
+	ref    []byte // reference frame pixels, allocated at the first keyframe
+	hasRef bool   // ref holds the latest reconstruction (false after Reset)
+	resid  []byte
+	inf    inflater
+	rec    *obs.Recorder
+	pool   *frame.Pool
 }
 
 // ErrNeedKeyframe is returned when a P-frame arrives with no reference —
@@ -334,82 +336,104 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 	return &Decoder{cfg: cfg, resid: make([]byte, frame.FormatYUV420.Size(cfg.Width, cfg.Height))}, nil
 }
 
-// Reset drops the reference frame, e.g. before seeking to a keyframe,
-// releasing it back to the frame pool when one is attached.
-func (d *Decoder) Reset() {
-	if d.prev != nil {
-		d.prev.Release()
-		d.prev = nil
-	}
-}
+// Reset drops the reference frame, e.g. before seeking to a keyframe.
+func (d *Decoder) Reset() { d.hasRef = false }
 
 // SetRecorder attributes this decoder's work to a per-request recorder.
 // The process-wide decode-stage metrics are updated either way.
 func (d *Decoder) SetRecorder(rec *obs.Recorder) { d.rec = rec }
 
-// SetFramePool makes the decoder allocate output frames from p. Pooled
-// output changes the ownership contract: the caller must Release each
-// decoded frame when done with it. The decoder holds its own reference to
-// the latest frame for P-frame prediction and drops it on the next Decode
-// or Reset, so callers may Release in any order relative to later decodes.
+// SetFramePool makes Decode return frames from p. Pooled output changes
+// the ownership contract: the caller must Release each decoded frame when
+// done with it. The decoder's reference frame is its own, so callers may
+// Release in any order relative to later decodes.
 func (d *Decoder) SetFramePool(p *frame.Pool) { d.pool = p }
 
-// Decode decompresses one packet. The returned frame is owned by the
-// caller (it is not reused by subsequent Decode calls); with a frame pool
-// attached (SetFramePool), the caller must Release it when finished.
+// Decode decompresses one packet and returns the frame. The returned frame
+// is owned by the caller (it is not reused by subsequent calls); with a
+// frame pool attached (SetFramePool), the caller must Release it when
+// finished.
 func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
 	decStart := time.Now()
-	if len(data) < 1 {
-		return nil, fmt.Errorf("%w: empty packet", ErrUndecodable)
+	if err := d.advance(data); err != nil {
+		return nil, err
 	}
-	ftype := data[0]
-	if ftype != frameTypeI && ftype != frameTypeP {
-		return nil, fmt.Errorf("%w: unknown frame type 0x%02x", ErrUndecodable, ftype)
-	}
-	if ftype == frameTypeP && d.prev == nil {
-		return nil, ErrNeedKeyframe
-	}
-	d.src.Reset(data[1:])
-	if d.zr == nil {
-		d.zr = flate.NewReader(&d.src)
-	} else if err := d.zr.(flate.Resetter).Reset(&d.src, nil); err != nil {
-		return nil, fmt.Errorf("%w: decompress: %w", ErrUndecodable, err)
-	}
-	if _, err := io.ReadFull(d.zr, d.resid); err != nil {
-		return nil, fmt.Errorf("%w: decompress: %w", ErrUndecodable, err)
-	}
-
-	// Pooled frames carry stale pixels; both decode paths below write
-	// every byte of every plane, so no clearing is needed.
 	var out *frame.Frame
 	if d.pool != nil {
 		out = d.pool.Get(d.cfg.Width, d.cfg.Height, frame.FormatYUV420)
 	} else {
 		out = frame.New(d.cfg.Width, d.cfg.Height, frame.FormatYUV420)
 	}
-	q := d.cfg.Quality
-	if ftype == frameTypeI {
-		off := 0
-		op := out.Planes()
-		for pi := range op {
-			w, h := planeDims(d.cfg, pi)
-			decodeIntraPlane(d.resid[off:off+w*h], op[pi], w, h, q)
-			off += w * h
-		}
-	} else if q == 1 {
-		addBytes(out.Pix, d.prev.Pix, d.resid)
-	} else {
-		reconstructQuantized(out.Pix, d.prev.Pix, d.resid, q)
-	}
-	// The decoder keeps its own reference for P-frame prediction; the
-	// caller's reference is theirs to Release. No-ops for unpooled frames.
-	out.Retain()
-	if d.prev != nil {
-		d.prev.Release()
-	}
-	d.prev = out
+	copy(out.Pix, d.ref)
 	d.rec.StageObserve(obs.StageDecode, 1, int64(len(out.Pix)), time.Since(decStart))
 	return out, nil
+}
+
+// Skip decodes one packet into the reference frame only, for a frame no
+// caller reads: the roll-forward from a keyframe to a random-access
+// target. It allocates nothing. Skips count as decodes in the stage
+// metrics, since they do the same work apart from the copy out.
+//
+//v2v:hotpath
+func (d *Decoder) Skip(data []byte) error {
+	decStart := time.Now()
+	if err := d.advance(data); err != nil {
+		return err
+	}
+	d.rec.StageObserve(obs.StageDecode, 1, int64(len(d.ref)), time.Since(decStart))
+	return nil
+}
+
+// CopyReference returns a copy of the reference frame: the reconstruction
+// of the latest packet that decoded, skipped or not. It returns nil when
+// there is none (before the first keyframe, or after Reset).
+func (d *Decoder) CopyReference() *frame.Frame {
+	if !d.hasRef {
+		return nil
+	}
+	out := frame.New(d.cfg.Width, d.cfg.Height, frame.FormatYUV420)
+	copy(out.Pix, d.ref)
+	return out
+}
+
+// advance decodes one packet into the reference frame. On error the
+// reference is unchanged: every check and the whole inflate precede the
+// reconstruct.
+//
+//v2v:hotpath
+func (d *Decoder) advance(data []byte) error {
+	if len(data) < 1 {
+		return fmt.Errorf("%w: empty packet", ErrUndecodable) //v2v:nolint(hotpath) cold error path
+	}
+	ftype := data[0]
+	if ftype != frameTypeI && ftype != frameTypeP {
+		return fmt.Errorf("%w: unknown frame type 0x%02x", ErrUndecodable, ftype) //v2v:nolint(hotpath) cold error path
+	}
+	if ftype == frameTypeP && !d.hasRef {
+		return ErrNeedKeyframe
+	}
+	if err := d.inf.inflate(d.resid, data[1:]); err != nil {
+		return fmt.Errorf("%w: decompress: %w", ErrUndecodable, err) //v2v:nolint(hotpath) cold error path
+	}
+	q := d.cfg.Quality
+	switch {
+	case ftype == frameTypeI:
+		if d.ref == nil {
+			d.ref = make([]byte, len(d.resid)) //v2v:nolint(hotpath) first keyframe only
+		}
+		off := 0
+		for pi := 0; pi < 3; pi++ {
+			w, h := planeDims(d.cfg, pi)
+			decodeIntraPlane(d.resid[off:off+w*h], d.ref[off:off+w*h], w, h, q)
+			off += w * h
+		}
+		d.hasRef = true
+	case q == 1:
+		addBytes(d.ref, d.resid)
+	default:
+		reconstructQuantized(d.ref, d.resid, q)
+	}
+	return nil
 }
 
 // decodeIntraPlane reconstructs one I-frame plane: each pixel is predicted
@@ -449,36 +473,54 @@ func decodeIntraPlane(resid, out []byte, w, h, q int) {
 // swarHigh has the top bit of every byte lane of a uint64 set.
 const swarHigh = 0x8080808080808080
 
-// addBytes sets dst[i] = a[i] + b[i] mod 256, the lossless P-frame
-// reconstruct. It adds eight byte lanes per uint64: the low seven bits of
-// each lane are summed with the top bits cleared, so no carry crosses a
-// lane, and the top bits are then restored by XOR, which is their sum
-// mod 2. ((x&^H)+(y&^H)) ^ ((x^y)&H) is therefore the lane-wise sum mod
-// 256. a and b must be at least len(dst) long.
+// addBytes adds resid into dst byte by byte, mod 256: the lossless
+// P-frame reconstruct, in place. It adds eight byte lanes per uint64: the
+// low seven bits of each lane are summed with the top bits cleared, so no
+// carry crosses a lane, and the top bits are then restored by XOR, which
+// is their sum mod 2. ((x&^H)+(y&^H)) ^ ((x^y)&H) is therefore the
+// lane-wise sum mod 256. It works in 32-byte blocks through array
+// pointers, which keeps bounds checks out of the block, and leaves a block
+// alone when its residual is all zero, as it is across a static
+// background. resid must be at least len(dst) long.
 //
 //v2v:hotpath
-func addBytes(dst, a, b []byte) {
+func addBytes(dst, resid []byte) {
 	n := len(dst)
-	a, b = a[:n], b[:n]
+	resid = resid[:n]
 	i := 0
-	for ; i+8 <= n; i += 8 {
-		x := binary.LittleEndian.Uint64(a[i : i+8])
-		y := binary.LittleEndian.Uint64(b[i : i+8])
-		binary.LittleEndian.PutUint64(dst[i:i+8], ((x&^swarHigh)+(y&^swarHigh))^((x^y)&swarHigh))
+	for ; i+32 <= n; i += 32 {
+		r := (*[32]byte)(resid[i:])
+		y0 := binary.LittleEndian.Uint64(r[0:])
+		y1 := binary.LittleEndian.Uint64(r[8:])
+		y2 := binary.LittleEndian.Uint64(r[16:])
+		y3 := binary.LittleEndian.Uint64(r[24:])
+		if y0|y1|y2|y3 == 0 {
+			continue
+		}
+		d := (*[32]byte)(dst[i:])
+		binary.LittleEndian.PutUint64(d[0:], swarAdd(binary.LittleEndian.Uint64(d[0:]), y0))
+		binary.LittleEndian.PutUint64(d[8:], swarAdd(binary.LittleEndian.Uint64(d[8:]), y1))
+		binary.LittleEndian.PutUint64(d[16:], swarAdd(binary.LittleEndian.Uint64(d[16:]), y2))
+		binary.LittleEndian.PutUint64(d[24:], swarAdd(binary.LittleEndian.Uint64(d[24:]), y3))
 	}
 	for ; i < n; i++ {
-		dst[i] = a[i] + b[i]
+		dst[i] += resid[i]
 	}
 }
 
-// reconstructQuantized is the lossy (q > 1) P-frame reconstruct: prev plus
-// the dequantized residual, clamped to [0, 255]. prev and resid must be
-// at least len(dst) long.
+// swarAdd adds the eight byte lanes of x and y, each mod 256.
+func swarAdd(x, y uint64) uint64 {
+	return ((x &^ swarHigh) + (y &^ swarHigh)) ^ ((x ^ y) & swarHigh)
+}
+
+// reconstructQuantized is the lossy (q > 1) P-frame reconstruct, in
+// place: dst plus the dequantized residual, clamped to [0, 255]. resid
+// must be at least len(dst) long.
 //
 //v2v:hotpath
-func reconstructQuantized(dst, prev, resid []byte, q int) {
-	prev, resid = prev[:len(dst)], resid[:len(dst)]
-	for i, p := range prev {
+func reconstructQuantized(dst, resid []byte, q int) {
+	resid = resid[:len(dst)]
+	for i, p := range dst {
 		r := int(p) + unzigzag(resid[i])*q
 		if r < 0 {
 			r = 0

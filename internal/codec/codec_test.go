@@ -2,6 +2,7 @@ package codec
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -488,21 +489,37 @@ func TestEncodeRecycleSteadyStateAllocs(t *testing.T) {
 }
 
 func TestAddBytesMatchesScalar(t *testing.T) {
-	// Every length from empty through two full words plus a tail, with
-	// lanes chosen to overflow (carry out of bit 7) and not.
+	// Every length from empty through two 32-byte blocks plus a tail,
+	// with lanes chosen to overflow (carry out of bit 7) and not, and
+	// all-zero residual blocks mixed in.
 	rnd := rand.New(rand.NewSource(17))
-	for n := 0; n <= 17; n++ {
+	for n := 0; n <= 80; n++ {
 		for trial := 0; trial < 50; trial++ {
 			a, b := make([]byte, n), make([]byte, n)
 			rnd.Read(a)
 			rnd.Read(b)
-			if trial == 0 {
+			switch trial {
+			case 0:
 				for i := range a {
 					a[i], b[i] = 0xFF, 0x01
 				}
+			case 1:
+				clear(b)
+			default:
+				// Blocks whose residual is zero but for one word.
+				if trial%3 == 0 {
+					for blk := 0; blk < n; blk += 32 {
+						keep := blk + 8*rnd.Intn(4)
+						for i := blk; i < min(blk+32, n); i++ {
+							if i < keep || i >= keep+8 {
+								b[i] = 0
+							}
+						}
+					}
+				}
 			}
-			got := make([]byte, n)
-			addBytes(got, a, b)
+			got := append([]byte(nil), a...)
+			addBytes(got, b)
 			for i := range got {
 				if want := a[i] + b[i]; got[i] != want {
 					t.Fatalf("len %d byte %d: %#x + %#x = %#x, want %#x", n, i, a[i], b[i], got[i], want)
@@ -589,11 +606,9 @@ func TestDecodeRecoversAfterMidStreamError(t *testing.T) {
 }
 
 func TestPooledPredictedDecodeAllocs(t *testing.T) {
-	// Steady-state pooled P-frame decoding reuses the inflater, its
-	// window and the frame buffers: at most one allocation per frame
-	// remains. (Streams whose Huffman codes exceed 9 bits add
-	// compress/flate's per-block link tables on top; this content's
-	// do not.)
+	// Steady-state pooled P-frame decoding reuses the inflater's tables,
+	// the reference frame and the pooled output buffers: nothing is
+	// allocated per frame.
 	cfg := Config{Width: 96, Height: 64, Quality: 1, GOP: 240, Level: 2}
 	const runs = 50
 	frames := genFramesB(cfg, runs+4)
@@ -603,7 +618,6 @@ func TestPooledPredictedDecodeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	dec.SetFramePool(frame.NewPool())
-	defer dec.Reset()
 	i := 0
 	decodeOne := func() {
 		fr, err := dec.Decode(pkts[i].Data)
@@ -615,7 +629,80 @@ func TestPooledPredictedDecodeAllocs(t *testing.T) {
 	}
 	decodeOne() // keyframe
 	decodeOne() // first P-frame: fills the pool
-	if allocs := testing.AllocsPerRun(runs, decodeOne); allocs > 1 {
-		t.Errorf("steady-state pooled P-frame Decode allocates %.2f per frame, want <= 1", allocs)
+	if allocs := testing.AllocsPerRun(runs, decodeOne); allocs > 0 {
+		t.Errorf("steady-state pooled P-frame Decode allocates %.2f per frame, want 0", allocs)
+	}
+}
+
+// randomCompleteCode returns code lengths for n symbols forming a
+// complete Huffman code of at most 15 bits: a tree grown by splitting
+// random leaves, biased (when deep) toward splitting the deepest ones, so
+// long codes spread over many root-table prefixes.
+func randomCompleteCode(rnd *rand.Rand, n int, deep bool) []uint8 {
+	leaves := []uint8{1, 1}
+	for len(leaves) < n {
+		k := rnd.Intn(len(leaves))
+		if deep {
+			k = len(leaves) - 1 - rnd.Intn(min(len(leaves), 4))
+		}
+		if leaves[k] == maxCodeBits {
+			k = rnd.Intn(len(leaves))
+			if leaves[k] == maxCodeBits {
+				continue
+			}
+		}
+		leaves[k]++
+		leaves = append(leaves, leaves[k])
+	}
+	rnd.Shuffle(len(leaves), func(i, j int) { leaves[i], leaves[j] = leaves[j], leaves[i] })
+	return leaves
+}
+
+func TestBuildTableDecodesEveryCode(t *testing.T) {
+	// Every symbol's canonical code, looked up LSB first through the root
+	// table and any sub-table, must yield that symbol and its length —
+	// also for the deepest codes, which must fit the fixed-size arrays.
+	var f inflater
+	rnd := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 400; trial++ {
+		tab, rootBits, n, ents := f.lit[:], uint(litBits), 2+rnd.Intn(maxNumLit-1), litEntries[:]
+		if trial%2 == 1 {
+			tab, rootBits, n, ents = f.dist[:], distBits, 2+rnd.Intn(maxNumDist-1), distEntries[:]
+		}
+		lens := randomCompleteCode(rnd, n, trial%4 < 2)
+		if !buildTable(tab, rootBits, lens, ents) {
+			t.Fatalf("trial %d: complete code of %d symbols rejected", trial, n)
+		}
+		var count [maxCodeBits + 1]int
+		for _, l := range lens {
+			count[l]++
+		}
+		var next [maxCodeBits + 1]int
+		code := 0
+		for l := 1; l <= maxCodeBits; l++ {
+			code = (code + count[l-1]) << 1
+			next[l] = code
+		}
+		for s, l := range lens {
+			c := next[l]
+			next[l]++
+			rev := uint64(bits.Reverse16(uint16(c)) >> (16 - uint(l)))
+			e := tab[rev&(1<<rootBits-1)]
+			if e&entLink != 0 {
+				e = tab[e>>16+uint32(rev>>rootBits)&(1<<(e>>8&15)-1)]
+			}
+			if want := ents[s] | uint32(l); e != want {
+				t.Fatalf("trial %d: symbol %d (length %d) decodes as %#x, want %#x", trial, s, l, e, want)
+			}
+		}
+	}
+	if buildTable(f.lit[:], litBits, []uint8{1, 1, 1}, litEntries[:]) {
+		t.Error("over-subscribed code accepted")
+	}
+	if buildTable(f.lit[:], litBits, []uint8{1, 2}, litEntries[:]) {
+		t.Error("incomplete code accepted")
+	}
+	if !buildTable(f.lit[:], litBits, []uint8{0, 1}, litEntries[:]) || f.lit[1] != 0 {
+		t.Error("single length-1 code: want accepted, with the unused pattern invalid")
 	}
 }

@@ -499,12 +499,22 @@ func isTransient(err error) bool {
 // (version 2). Payload damage — CRC mismatch or a short read inside the
 // recorded extent — is reported wrapping ErrCorruptPacket; transient read
 // errors are retried with bounded backoff first.
-func (r *Reader) ReadPacket(i int) ([]byte, error) {
+func (r *Reader) ReadPacket(i int) ([]byte, error) { return r.ReadPacketInto(i, nil) }
+
+// ReadPacketInto is ReadPacket reading into buf's storage when its
+// capacity suffices (a new buffer otherwise). The result aliases buf, so a
+// caller that consumes each packet before reading the next — a decoder
+// rolling forward — reads a whole GOP with one buffer.
+func (r *Reader) ReadPacketInto(i int, buf []byte) ([]byte, error) {
 	if i < 0 || i >= len(r.recs) {
 		return nil, fmt.Errorf("container: packet %d out of range [0,%d)", i, len(r.recs))
 	}
 	rec := r.recs[i]
-	buf := make([]byte, rec.Size)
+	if cap(buf) >= rec.Size {
+		buf = buf[:rec.Size]
+	} else {
+		buf = make([]byte, rec.Size)
+	}
 	if err := r.readAt(buf, rec.Offset); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, fmt.Errorf("%w: packet %d short read: %w", ErrCorruptPacket, i, err)

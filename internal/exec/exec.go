@@ -972,9 +972,6 @@ func (r *segmentRunner) close(m *Metrics) {
 	r.root.walk(func(nr *nodeRunner) {
 		m.Intermediate.FramesEncoded += nr.matEncodes
 		m.Intermediate.FramesDecoded += nr.matDecodes
-		if nr.dec != nil {
-			nr.dec.Reset() // release the pooled prediction frame
-		}
 	})
 }
 

@@ -55,12 +55,17 @@ func (s *Stats) Add(o Stats) {
 // Reader provides random access to the frames of a VMF file.
 // Not safe for concurrent use; open one Reader per goroutine.
 type Reader struct {
-	c       *container.Reader
-	dec     *codec.Decoder
-	next    int // packet index the decoder will consume next; -1 if unset
-	last    *frame.Frame
-	conceal bool
-	stats   Stats
+	c    *container.Reader
+	dec  *codec.Decoder
+	next int // packet index the decoder will consume next; -1 if unset
+	// last is the frame of the latest packet that decoded (or was
+	// concealed), unless lastInRef is set: then that packet was skipped,
+	// its frame lives only in the decoder's reference, and last is nil.
+	last      *frame.Frame
+	lastInRef bool
+	pkt       []byte // packet buffer, reused: the decoder keeps no packet bytes
+	conceal   bool
+	stats     Stats
 }
 
 // OpenReader opens path for frame-level reading.
@@ -122,9 +127,18 @@ func Concealable(err error) bool {
 		errors.Is(err, codec.ErrNeedKeyframe)
 }
 
+// holdLast materializes a skipped latest frame from the decoder's
+// reference, so r.last is again the latest frame.
+func (r *Reader) holdLast() {
+	if r.lastInRef {
+		r.last, r.lastInRef = r.dec.CopyReference(), false
+	}
+}
+
 // concealedFrame returns the frame substituted for an unrecoverable
 // packet: the last good frame, or mid-gray when none exists.
 func (r *Reader) concealedFrame() *frame.Frame {
+	r.holdLast()
 	if r.last != nil {
 		return r.last
 	}
@@ -138,12 +152,15 @@ func (r *Reader) concealedFrame() *frame.Frame {
 
 // FrameAtIndex returns the decoded frame for packet index i. Sequential
 // access (i, i+1, ...) decodes each packet exactly once; random access
-// restarts from the keyframe at or before i.
+// restarts from the keyframe at or before i. Packets before the target
+// are skipped: decoded into the decoder's reference only, with no frame
+// produced for them.
 func (r *Reader) FrameAtIndex(i int) (*frame.Frame, error) {
 	if i < 0 || i >= r.c.NumPackets() {
 		return nil, fmt.Errorf("media: frame %d out of range [0,%d)", i, r.c.NumPackets())
 	}
-	if r.next >= 0 && i == r.next-1 && r.last != nil {
+	if r.next >= 0 && i == r.next-1 && (r.last != nil || r.lastInRef) {
+		r.holdLast()
 		return r.last, nil
 	}
 	// Seek policy: restart from the keyframe at or before the target when
@@ -155,16 +172,26 @@ func (r *Reader) FrameAtIndex(i int) (*frame.Frame, error) {
 		return nil, errors.New("media: no keyframe at or before target")
 	}
 	if r.next < 0 || i < r.next || k > r.next {
+		r.holdLast() // the reference is about to go
 		r.dec.Reset()
 		r.next = k
 	}
 	for r.next <= i {
-		data, err := r.c.ReadPacket(r.next)
+		data, err := r.c.ReadPacketInto(r.next, r.pkt)
 		if err == nil {
-			var fr *frame.Frame
-			if fr, err = r.dec.Decode(data); err == nil {
+			r.pkt = data
+			if r.next < i {
+				if err = r.dec.Skip(data); err == nil {
+					r.last, r.lastInRef = nil, true
+				}
+			} else {
+				var fr *frame.Frame
+				if fr, err = r.dec.Decode(data); err == nil {
+					r.last, r.lastInRef = fr, false
+				}
+			}
+			if err == nil {
 				r.stats.FramesDecoded++
-				r.last = fr
 			} else {
 				err = fmt.Errorf("media: decode packet %d: %w", r.next, err)
 			}
@@ -176,8 +203,12 @@ func (r *Reader) FrameAtIndex(i int) (*frame.Frame, error) {
 			// Hold the last good frame in place of the damaged packet; the
 			// decoder keeps its previous reference, so later P-frames decode
 			// against a stale prediction (drift) until the next keyframe —
-			// degraded output rather than a dead synthesis.
-			r.last = r.concealedFrame()
+			// degraded output rather than a dead synthesis. Before the
+			// target the held frame is only needed if nothing decodes after
+			// it, so it stays in the decoder's reference until then.
+			if r.next == i {
+				r.last = r.concealedFrame()
+			}
 			r.stats.FramesConcealed++
 		}
 		r.next++

@@ -518,17 +518,11 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 }
 
 func TestRegisterUDF(t *testing.T) {
-	Register(&Transform{
-		Name: "testudf_invert", Params: []Type{TypeFrame}, Result: TypeFrame, PreservesFormat: true,
-		Eval: func(args []Val) (Val, error) {
-			out := args[0].Frame.Clone()
-			p := out.Planes()
-			for i := range p[0] {
-				p[0][i] = 255 - p[0][i]
-			}
-			return FrameVal(out), nil
-		},
-	})
+	// The registry is process-wide: under -count=N or -cpu a,b this test
+	// runs more than once, and Register panics on a duplicate name.
+	if _, ok := Lookup("testudf_invert"); !ok {
+		registerTestUDFInvert()
+	}
 	v, err := Eval(mustParseExpr(t, "testudf_invert(vid[t])"), env(rational.Zero))
 	if err != nil || v.Type != TypeFrame {
 		t.Fatalf("udf eval: %v %v", v, err)
@@ -542,6 +536,20 @@ func TestRegisterUDF(t *testing.T) {
 	if !found {
 		t.Error("udf not listed")
 	}
+}
+
+func registerTestUDFInvert() {
+	Register(&Transform{
+		Name: "testudf_invert", Params: []Type{TypeFrame}, Result: TypeFrame, PreservesFormat: true,
+		Eval: func(args []Val) (Val, error) {
+			out := args[0].Frame.Clone()
+			p := out.Planes()
+			for i := range p[0] {
+				p[0][i] = 255 - p[0][i]
+			}
+			return FrameVal(out), nil
+		},
+	})
 }
 
 func TestSpecCloneIndependence(t *testing.T) {
